@@ -9,10 +9,11 @@
 //! take the difference. The counter is cumulative and monotonic; it is
 //! never reset.
 //!
-//! The counter lives in `pps-core` (rather than `pps-switch`, where it
-//! started) so that engines which do not depend on the PPS fabric — the
-//! `pps-crossbar` CIOQ/iSLIP switches, trace validators — can account
-//! their slots too; `pps_switch::perf` re-exports it for compatibility.
+//! The counter lives in `pps-core` so that every engine — the PPS fabric,
+//! the `pps-crossbar` CIOQ/iSLIP switches, trace validators — accounts its
+//! slots through the same meter. Each [`crate::stepping::SlotEngine`]
+//! meters its own slots: simulated ones in `slot`, skipped ones in
+//! `skip_idle`; the shared driver meters nothing.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -21,7 +22,7 @@ static SLOTS_SKIPPED: AtomicU64 = AtomicU64::new(0);
 static INTRA_MERGE_NANOS: AtomicU64 = AtomicU64::new(0);
 
 /// Total slots simulated by this process so far, across every engine (PPS
-/// fabric, crossbar baselines, hand-rolled `slot()` loops). Slots covered
+/// fabric, crossbar baselines, trace validators). Slots covered
 /// by a skip-ahead jump count under [`slots_skipped`] instead — the sum of
 /// the two is the simulated-time span an equivalent dense run would have
 /// walked.

@@ -19,6 +19,6 @@ pub use crate::queue::FifoQueue;
 pub use crate::rate::{speedup, Ratio};
 pub use crate::record::{CellRecord, RunLog};
 pub use crate::snapshot::{GlobalSnapshot, SnapshotRing};
-pub use crate::stepping::Stepping;
+pub use crate::stepping::{SlotEngine, Stepping};
 pub use crate::time::Slot;
 pub use crate::trace::{Arrival, Trace};

@@ -97,8 +97,37 @@ impl CioqSwitch {
         self.policy
     }
 
+    /// Largest output-queue occupancy reached.
+    pub fn max_output_queue(&self) -> usize {
+        self.max_outq
+    }
+
+    /// Move the head of VOQ `(i, j)` across the fabric into output `j`'s
+    /// buffer.
+    fn transfer(&mut self, now: Slot, i: usize, j: usize) {
+        use pps_core::telemetry::{self, Engine, EventKind};
+        let (dt, id) = self.voqs[i * self.n + j].pop_front().expect("head exists");
+        if telemetry::on() {
+            // Parked at the output buffer awaiting its deadline turn.
+            telemetry::record(
+                Engine::Cioq,
+                now,
+                EventKind::ReseqHold {
+                    cell: id,
+                    output: PortId(j as u32),
+                },
+            );
+        }
+        self.outq[j].insert((dt, id));
+        self.parked += 1;
+    }
+}
+
+impl SlotEngine for CioqSwitch {
+    type Stop = std::convert::Infallible;
+
     /// Advance one slot.
-    pub fn slot(&mut self, now: Slot, arrivals: &[Cell], log: &mut RunLog) {
+    fn slot(&mut self, now: Slot, arrivals: &[Cell], log: &mut RunLog) -> Result<(), Self::Stop> {
         use pps_core::telemetry::{self, Engine, EventKind};
         pps_core::perf::record_slots(1);
         for cell in arrivals {
@@ -198,66 +227,37 @@ impl CioqSwitch {
                 log.set_departure(id, now);
             }
         }
-    }
-
-    /// Move the head of VOQ `(i, j)` across the fabric into output `j`'s
-    /// buffer.
-    fn transfer(&mut self, now: Slot, i: usize, j: usize) {
-        use pps_core::telemetry::{self, Engine, EventKind};
-        let (dt, id) = self.voqs[i * self.n + j].pop_front().expect("head exists");
-        if telemetry::on() {
-            // Parked at the output buffer awaiting its deadline turn.
-            telemetry::record(
-                Engine::Cioq,
-                now,
-                EventKind::ReseqHold {
-                    cell: id,
-                    output: PortId(j as u32),
-                },
-            );
-        }
-        self.outq[j].insert((dt, id));
-        self.parked += 1;
+        Ok(())
     }
 
     /// Cells still inside the switch.
-    pub fn backlog(&self) -> usize {
+    fn backlog(&self) -> usize {
         self.voqs.iter().map(|q| q.len()).sum::<usize>() + self.parked
     }
 
-    /// The next slot strictly after `now` at which the switch does
-    /// anything, ignoring future arrivals. The deadline oracle (`dt_last`)
-    /// holds absolute slots and needs no catch-up; an empty slot is a pure
-    /// no-op, so this is `now + 1` with backlog or nothing without.
-    pub fn next_activity(&self, now: Slot) -> Option<Slot> {
+    /// The deadline oracle (`dt_last`) holds absolute slots and needs no
+    /// catch-up; an empty slot is a pure no-op, so this is `now + 1` with
+    /// backlog or nothing without.
+    fn next_activity(&self, now: Slot) -> Option<Slot> {
         (self.backlog() > 0).then(|| now + 1)
     }
 
-    /// Largest output-queue occupancy reached.
-    pub fn max_output_queue(&self) -> usize {
-        self.max_outq
+    /// An empty CIOQ slot moves no state: only the meter runs.
+    fn skip_idle(&mut self, from: Slot, to: Slot) {
+        pps_core::perf::record_skipped(to - from + 1);
     }
 }
 
-/// Run a trace through a fresh CIOQ switch until it drains. Uses the
-/// process-default stepping mode.
+/// Run a trace through a fresh critical-cells-first CIOQ switch until it
+/// drains. Uses the process-default stepping mode.
 pub fn run_cioq(trace: &Trace, n: usize, speedup: usize) -> RunLog {
-    run_cioq_stepped(trace, n, speedup, pps_core::stepping::process_default())
-}
-
-/// [`run_cioq`] with an explicit stepping mode. Identical logs either way:
-/// an empty CIOQ slot moves no state (see [`CioqSwitch::next_activity`]),
-/// so skip-ahead jumps idle stretches and meters them as skipped.
-pub fn run_cioq_stepped(
-    trace: &Trace,
-    n: usize,
-    speedup: usize,
-    mode: pps_core::Stepping,
-) -> RunLog {
+    let mode = pps_core::stepping::process_default();
     run_cioq_policy(trace, n, speedup, CioqPolicy::CriticalFirst, mode)
 }
 
-/// [`run_cioq_stepped`] under an explicit matching policy.
+/// Run a trace through a fresh CIOQ switch under an explicit matching
+/// policy and stepping mode until it drains. Identical logs in either
+/// mode.
 pub fn run_cioq_policy(
     trace: &Trace,
     n: usize,
@@ -268,30 +268,8 @@ pub fn run_cioq_policy(
     let cells = trace.cells(n);
     let mut log = RunLog::with_cells(&cells);
     let mut sw = CioqSwitch::with_policy(n, speedup, policy);
-    let mut next = 0usize;
-    let mut now: Slot = 0;
-    let mut scratch: Vec<Cell> = Vec::new();
     let cap = trace.horizon() + (trace.len() as Slot + 2) * (n as Slot) + 64;
-    while next < cells.len() || sw.backlog() > 0 {
-        scratch.clear();
-        while next < cells.len() && cells[next].arrival == now {
-            scratch.push(cells[next]);
-            next += 1;
-        }
-        sw.slot(now, &scratch, &mut log);
-        now += 1;
-        if now > cap {
-            break;
-        }
-        if mode == pps_core::Stepping::SkipAhead
-            && next < cells.len()
-            && cells[next].arrival > now
-            && sw.backlog() == 0
-        {
-            pps_core::perf::record_skipped(cells[next].arrival - now);
-            now = cells[next].arrival;
-        }
-    }
+    let Ok(_) = pps_core::stepping::drive(&mut sw, &cells, &mut log, mode, cap);
     log
 }
 

@@ -43,10 +43,33 @@ impl<S: CrossbarScheduler> CrossbarSwitch<S> {
         }
     }
 
+    /// Highest VOQ occupancy reached.
+    pub fn max_voq_occupancy(&self) -> usize {
+        self.voqs
+            .iter()
+            .map(|q| q.max_occupancy())
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// Total cells transmitted.
+    pub fn transmitted(&self) -> u64 {
+        self.transmitted
+    }
+
+    /// The scheduler driving the fabric (for state-digest assertions).
+    pub fn scheduler(&self) -> &S {
+        &self.scheduler
+    }
+}
+
+impl<S: CrossbarScheduler> SlotEngine for CrossbarSwitch<S> {
+    type Stop = std::convert::Infallible;
+
     /// Advance one slot: enqueue arrivals into their VOQs, compute the
     /// matching, and transfer matched head cells (which depart this slot —
     /// the crossbar is output-unbuffered at speedup 1).
-    pub fn slot(&mut self, now: Slot, arrivals: &[Cell], log: &mut RunLog) {
+    fn slot(&mut self, now: Slot, arrivals: &[Cell], log: &mut RunLog) -> Result<(), Self::Stop> {
         use pps_core::telemetry::{self, Engine, EventKind};
         pps_core::perf::record_slots(1);
         for cell in arrivals {
@@ -88,58 +111,32 @@ impl<S: CrossbarScheduler> CrossbarSwitch<S> {
                 self.transmitted += 1;
             }
         }
+        Ok(())
     }
 
     /// Cells currently queued at the inputs.
-    pub fn backlog(&self) -> usize {
+    fn backlog(&self) -> usize {
         self.voqs.iter().map(|q| q.len()).sum()
     }
 
-    /// The next slot strictly after `now` at which the switch does
-    /// anything, ignoring future arrivals. Delegates to the scheduler's
-    /// wake formula; for every discipline in the zoo that is `now + 1`
-    /// with backlog and quiescent without — an all-empty occupancy matrix
-    /// grants nothing, draws nothing, and moves no pointers.
-    pub fn next_activity(&self, now: Slot) -> Option<Slot> {
+    /// Delegates to the scheduler's wake formula; for every discipline in
+    /// the zoo that is `now + 1` with backlog and quiescent without — an
+    /// all-empty occupancy matrix grants nothing, draws nothing, and
+    /// moves no pointers.
+    fn next_activity(&self, now: Slot) -> Option<Slot> {
         self.scheduler.next_activity(now, self.backlog())
     }
 
-    /// Highest VOQ occupancy reached.
-    pub fn max_voq_occupancy(&self) -> usize {
-        self.voqs
-            .iter()
-            .map(|q| q.max_occupancy())
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Total cells transmitted.
-    pub fn transmitted(&self) -> u64 {
-        self.transmitted
-    }
-
-    /// The scheduler driving the fabric (for state-digest assertions).
-    pub fn scheduler(&self) -> &S {
-        &self.scheduler
+    /// An empty crossbar slot moves no state: only the meter runs.
+    fn skip_idle(&mut self, from: Slot, to: Slot) {
+        pps_core::perf::record_skipped(to - from + 1);
     }
 }
 
-/// Run a trace through a fresh crossbar until it drains; returns the log.
-/// Uses the process-default stepping mode.
+/// Run a trace through a fresh iSLIP crossbar until it drains; returns
+/// the log. Uses the process-default stepping mode.
 pub fn run_crossbar(trace: &Trace, n: usize, iterations: usize) -> RunLog {
-    run_crossbar_stepped(trace, n, iterations, pps_core::stepping::process_default())
-}
-
-/// [`run_crossbar`] with an explicit stepping mode. Identical logs either
-/// way: an empty crossbar slot moves no state (see
-/// [`CrossbarSwitch::next_activity`]), so skip-ahead jumps idle stretches
-/// and meters them as skipped instead of simulated.
-pub fn run_crossbar_stepped(
-    trace: &Trace,
-    n: usize,
-    iterations: usize,
-    mode: pps_core::Stepping,
-) -> RunLog {
+    let mode = pps_core::stepping::process_default();
     run_crossbar_with(trace, IslipArbiter::new(n, iterations), mode).0
 }
 
@@ -157,30 +154,8 @@ pub fn run_crossbar_with<S: CrossbarScheduler>(
     let cells = trace.cells(n);
     let mut log = RunLog::with_cells(&cells);
     let mut xb = CrossbarSwitch::with_scheduler(n, scheduler);
-    let mut next = 0usize;
-    let mut now: Slot = 0;
-    let mut scratch: Vec<Cell> = Vec::new();
     let cap = trace.horizon() + (trace.len() as Slot + 2) * (n as Slot) + 64;
-    while next < cells.len() || xb.backlog() > 0 {
-        scratch.clear();
-        while next < cells.len() && cells[next].arrival == now {
-            scratch.push(cells[next]);
-            next += 1;
-        }
-        xb.slot(now, &scratch, &mut log);
-        now += 1;
-        if now > cap {
-            break;
-        }
-        if mode == pps_core::Stepping::SkipAhead
-            && next < cells.len()
-            && cells[next].arrival > now
-            && xb.backlog() == 0
-        {
-            pps_core::perf::record_skipped(cells[next].arrival - now);
-            now = cells[next].arrival;
-        }
-    }
+    let Ok(_) = pps_core::stepping::drive(&mut xb, &cells, &mut log, mode, cap);
     (log, xb)
 }
 

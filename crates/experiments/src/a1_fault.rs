@@ -38,6 +38,11 @@ pub fn point<D: Demultiplexor>(cfg: PpsConfig, demux: D, trace: &Trace) -> (f64,
     let mut pps = BufferlessPps::new(cfg, demux).expect("engine");
     pps.fail_plane(0).expect("plane 0 exists");
     let run = pps.run(trace).expect("model-legal run");
+    // No watchdog: a flow that lost a cell on plane 0 blocks its
+    // resequencer forever, so the run always ends at the livelock cap
+    // with cells still inside the switch. The loss metric below counts
+    // only the cells dispatched onto the dead plane.
+    assert!(run.truncated, "a watchdog-less plane failure cannot drain");
     let total = run.log.len() as f64;
     let mut sent = vec![0u64; cfg.n];
     let mut lost = vec![0u64; cfg.n];

@@ -266,6 +266,20 @@ fn main() {
         }
         return;
     }
+    let unknown: Vec<&str> = wanted
+        .iter()
+        .map(|w| w.as_str())
+        .filter(|w| !reg.iter().any(|(id, _)| id == w))
+        .collect();
+    if !unknown.is_empty() {
+        let valid: Vec<&str> = reg.iter().map(|(id, _)| *id).collect();
+        eprintln!(
+            "error: unknown experiment id(s): {}\nvalid ids: {}",
+            unknown.join(" "),
+            valid.join(" ")
+        );
+        std::process::exit(2);
+    }
     let selected: Vec<_> = reg
         .iter()
         .filter(|(id, _)| wanted.is_empty() || wanted.iter().any(|w| w.as_str() == *id))
@@ -283,8 +297,8 @@ fn main() {
         selected
             .iter()
             .map(|(id, runner)| {
-                let slots0 = pps_switch::perf::slots_simulated();
-                let skipped0 = pps_switch::perf::slots_skipped();
+                let slots0 = pps_core::perf::slots_simulated();
+                let skipped0 = pps_core::perf::slots_skipped();
                 let merge0 = pps_core::perf::intra_merge_nanos();
                 let start = std::time::Instant::now();
                 let out = if tracing {
@@ -298,8 +312,8 @@ fn main() {
                 bench.push((
                     id,
                     secs,
-                    pps_switch::perf::slots_simulated() - slots0,
-                    pps_switch::perf::slots_skipped() - skipped0,
+                    pps_core::perf::slots_simulated() - slots0,
+                    pps_core::perf::slots_skipped() - skipped0,
                     pps_core::perf::intra_merge_nanos() - merge0,
                 ));
                 out

@@ -18,6 +18,7 @@ use crate::sweep::SweepPlan;
 use crate::ExperimentOutput;
 use pps_analysis::{metrics, Table};
 use pps_core::prelude::*;
+use pps_core::stepping::drive;
 use pps_reference::checker::{check_work_conserving, Violation};
 use pps_reference::oq::run_oq;
 use pps_switch::demux::FtdDemux;
@@ -45,6 +46,50 @@ pub struct CongestionOutcome {
     pub shape_violation: Option<pps_core::OracleViolation>,
 }
 
+/// The PPS under test with the hot output's occupancy sampled after every
+/// slot, for the shared driver.
+struct CongestionProbe {
+    pps: BufferlessPps<FtdDemux>,
+    /// End of the overload.
+    duration: Slot,
+    congestion_start: Option<Slot>,
+    /// Occupancy of the hot output inside the congested window. Theorem
+    /// 14 makes the output work-conserving there (one departure per slot)
+    /// while the adversary offers `senders` cells per slot, so the series
+    /// must ramp linearly at `senders - 1` — the executable "bound shape"
+    /// the chaos oracle layer checks below.
+    series: Vec<(Slot, u64)>,
+}
+
+impl SlotEngine for CongestionProbe {
+    type Stop = ModelError;
+
+    fn slot(&mut self, now: Slot, arrivals: &[Cell], log: &mut RunLog) -> Result<(), ModelError> {
+        self.pps.slot(now, arrivals, log)?;
+        let fabric = self.pps.fabric();
+        if self.congestion_start.is_none() && fabric.all_planes_backlogged_for(0) {
+            self.congestion_start = Some(now);
+        }
+        if self.congestion_start.is_some_and(|start| now >= start) && now < self.duration {
+            self.series.push((now, fabric.queued_for(0) as u64));
+        }
+        Ok(())
+    }
+
+    fn backlog(&self) -> usize {
+        self.pps.backlog()
+    }
+
+    /// The probe samples every slot.
+    fn next_activity(&self, now: Slot) -> Option<Slot> {
+        Some(now + 1)
+    }
+
+    fn skip_idle(&mut self, from: Slot, to: Slot) {
+        self.pps.skip_idle(from, to);
+    }
+}
+
 /// Run the congestion scenario with the extended-FTD demultiplexor.
 pub fn point(n: usize, k: usize, r_prime: usize, h: usize, duration: Slot) -> CongestionOutcome {
     let cfg = PpsConfig::bufferless(n, k, r_prime);
@@ -54,37 +99,17 @@ pub fn point(n: usize, k: usize, r_prime: usize, h: usize, duration: Slot) -> Co
     let senders = k / r_prime + 1;
     let traffic = congestion_traffic(n, 0, senders, duration);
     let cells = traffic.trace.cells(n);
-    let mut pps = BufferlessPps::new(cfg, FtdDemux::new(n, k, r_prime, h)).expect("engine");
+    let mut probe = CongestionProbe {
+        pps: BufferlessPps::new(cfg, FtdDemux::new(n, k, r_prime, h)).expect("engine"),
+        duration,
+        congestion_start: None,
+        series: Vec::new(),
+    };
     let mut log = RunLog::with_cells(&cells);
-    let mut next = 0usize;
-    let mut now: Slot = 0;
-    let mut congestion_start = None;
-    let mut scratch: Vec<Cell> = Vec::new();
-    // Occupancy of the hot output inside the congested window. Theorem 14
-    // makes the output work-conserving there (one departure per slot)
-    // while the adversary offers `senders` cells per slot, so the series
-    // must ramp linearly at `senders - 1` — the executable "bound shape"
-    // the chaos oracle layer checks below.
-    let mut series: Vec<(Slot, u64)> = Vec::new();
     let cap = duration + (cells.len() as Slot + 2) * (r_prime as Slot + 1) + 64;
-    while next < cells.len() || pps.backlog() > 0 {
-        scratch.clear();
-        while next < cells.len() && cells[next].arrival == now {
-            scratch.push(cells[next]);
-            next += 1;
-        }
-        pps.slot(now, &scratch, &mut log).expect("model-legal run");
-        if congestion_start.is_none() && pps.fabric().all_planes_backlogged_for(0) {
-            congestion_start = Some(now);
-        }
-        if congestion_start.is_some_and(|start| now >= start) && now < duration {
-            series.push((now, pps.fabric().queued_for(0) as u64));
-        }
-        now += 1;
-        if now > cap {
-            break;
-        }
-    }
+    let run = drive(&mut probe, &cells, &mut log, Stepping::Dense, cap).expect("model-legal run");
+    assert!(!run.truncated, "a congested FTD run drains");
+    let (congestion_start, series) = (probe.congestion_start, probe.series);
     let oq = run_oq(&traffic.trace, n);
     // The congested window: from observed onset to the end of the
     // overload. Cells arriving inside it are the theorem's subjects.

@@ -16,7 +16,7 @@
 
 use crate::fabric::{Fabric, FabricStats};
 use pps_core::prelude::*;
-use pps_core::stepping::{self, earliest};
+use pps_core::stepping::{self, drive, earliest, Drive};
 use pps_core::telemetry::{self, Engine, EventKind, FaultKind};
 
 /// Outcome of a complete PPS run.
@@ -28,6 +28,10 @@ pub struct PpsRun {
     pub stats: FabricStats,
     /// Slot after the last processed slot (the run's horizon).
     pub end_slot: Slot,
+    /// The livelock cap stopped the run with cells still inside the
+    /// switch (e.g. a resequencer blocked forever on a cell lost to a
+    /// failed plane, with no watchdog to skip it).
+    pub truncated: bool,
 }
 
 /// Shared slot-stepping logic: snapshot bus management.
@@ -282,14 +286,19 @@ impl<D: Demultiplexor> BufferlessPps<D> {
         Ok(())
     }
 
+    /// Run a whole trace to completion (arrivals plus drain).
+    pub fn run(&mut self, trace: &Trace) -> Result<PpsRun, ModelError> {
+        let mode = self.stepping;
+        run_trace(self, |e| &mut e.fabric, mode, trace)
+    }
+}
+
+impl<D: Demultiplexor> SlotEngine for BufferlessPps<D> {
+    type Stop = ModelError;
+
     /// Advance one slot: dispatch this slot's arrivals, serve the planes,
     /// emit at the outputs.
-    pub fn slot(
-        &mut self,
-        now: Slot,
-        arrivals: &[Cell],
-        log: &mut RunLog,
-    ) -> Result<(), ModelError> {
+    fn slot(&mut self, now: Slot, arrivals: &[Cell], log: &mut RunLog) -> Result<(), ModelError> {
         self.faults.apply_due(now, &mut self.fabric)?;
         self.bus.begin_slot(now, &self.fabric, &NO_BUFFERS);
         self.demux.on_slot(now, self.bus.view(now));
@@ -348,77 +357,22 @@ impl<D: Demultiplexor> BufferlessPps<D> {
     }
 
     /// Cells still inside the switch.
-    pub fn backlog(&self) -> usize {
+    fn backlog(&self) -> usize {
         self.fabric.backlog()
     }
 
-    /// The next slot strictly after `now` at which the switch does
-    /// anything beyond per-slot stall accounting, ignoring future arrivals
-    /// (the caller owns the arrival stream): the next scripted fault, any
-    /// fabric service/emit/watchdog activity, or a demux wake-up. `None`
-    /// means the switch is quiescent until the next arrival.
-    pub fn next_activity(&self, now: Slot) -> Option<Slot> {
-        let mut t = self.faults.next_activity();
-        t = earliest(t, self.fabric.next_activity(now));
-        t = earliest(t, self.demux.next_activity(now));
-        t.map(|s| s.max(now + 1))
+    /// The next scripted fault, any fabric service/emit/watchdog
+    /// activity, or a demux wake-up.
+    fn next_activity(&self, now: Slot) -> Option<Slot> {
+        let t = earliest(self.faults.next_activity(), self.fabric.next_activity(now));
+        earliest(t, self.demux.next_activity(now))
     }
 
-    /// Replay the dense loop's per-slot effects over the idle interval
-    /// `[from, to]` in closed form: output-stall accounting, information-
-    /// bus snapshot pushes, skipped-slot metering. Sound only when no cell
-    /// arrives in the interval and [`next_activity`](Self::next_activity)
-    /// reported nothing due before `to + 1`.
-    pub fn skip_idle(&mut self, from: Slot, to: Slot) {
+    /// Output-stall accounting, information-bus snapshot pushes, and
+    /// skipped-slot metering.
+    fn skip_idle(&mut self, from: Slot, to: Slot) {
         self.fabric.skip_idle_slots(from, to);
         self.bus.skip_gap(from, to, &self.fabric, &NO_BUFFERS);
-    }
-
-    /// Run a whole trace to completion (arrivals plus drain).
-    pub fn run(&mut self, trace: &Trace) -> Result<PpsRun, ModelError> {
-        let cells = trace.cells(self.fabric.cfg().n);
-        self.fabric.reserve_cells(cells.len());
-        let mut log = RunLog::with_cells(&cells);
-        let mut next = 0usize;
-        let mut now: Slot = 0;
-        let cap = drain_cap(trace, self.fabric.cfg());
-        let mut scratch: Vec<Cell> = Vec::new();
-        while next < cells.len() || self.backlog() > 0 {
-            scratch.clear();
-            while next < cells.len() && cells[next].arrival == now {
-                scratch.push(cells[next]);
-                next += 1;
-            }
-            self.slot(now, &scratch, &mut log)?;
-            now += 1;
-            if now > cap {
-                break; // livelock guard; remaining cells stay undelivered
-            }
-            if self.stepping == Stepping::SkipAhead && (next < cells.len() || self.backlog() > 0) {
-                let next_arrival = cells.get(next).map(|c| c.arrival);
-                if next_arrival != Some(now) {
-                    let mut target = next_arrival.unwrap_or(Slot::MAX);
-                    if let Some(t) = self.next_activity(now - 1) {
-                        target = target.min(t);
-                    }
-                    // Dense walks idle slots through the cap before giving
-                    // up, so the jump may go one past it at most.
-                    let stop = target.min(cap + 1);
-                    if stop > now {
-                        self.skip_idle(now, stop - 1);
-                        now = stop;
-                        if now > cap {
-                            break;
-                        }
-                    }
-                }
-            }
-        }
-        Ok(PpsRun {
-            log,
-            stats: self.fabric.stats(),
-            end_slot: now,
-        })
     }
 }
 
@@ -531,64 +485,10 @@ impl<D: BufferedDemultiplexor> BufferedPps<D> {
         Ok(())
     }
 
-    /// Advance one slot. `arrivals` must be sorted by input port (as
-    /// produced by [`Trace::cells`]); the demultiplexor is consulted per
-    /// input in port order, matching the global-FCFS tie-break.
-    pub fn slot(
-        &mut self,
-        now: Slot,
-        arrivals: &[Cell],
-        log: &mut RunLog,
-    ) -> Result<(), ModelError> {
-        self.faults.apply_due(now, &mut self.fabric)?;
-        self.bus.begin_slot(now, &self.fabric, &self.buffer_live);
-        let mut arr_iter = arrivals.iter().peekable();
-        for input in 0..self.fabric.cfg().n {
-            let arrival = arr_iter.next_if(|c| c.input.idx() == input).copied();
-            if arrival.is_none() && self.buffers[input].is_empty() {
-                continue;
-            }
-            if let Some(c) = arrival {
-                debug_assert_eq!(c.arrival, now);
-                if telemetry::on() {
-                    telemetry::record(
-                        Engine::Pps,
-                        now,
-                        EventKind::Arrival {
-                            cell: c.id,
-                            input: c.input,
-                            output: c.output,
-                        },
-                    );
-                }
-                self.fabric.register_arrival(&c);
-            }
-            let mut decision = std::mem::take(&mut self.decision);
-            decision.clear();
-            {
-                let buf = self.buffers[input].make_contiguous();
-                let ctx = DispatchCtx {
-                    local: self.fabric.local_view(PortId(input as u32), now),
-                    global: self.bus.view(now),
-                };
-                self.demux.slot_decision(
-                    PortId(input as u32),
-                    arrival.as_ref(),
-                    buf,
-                    &ctx,
-                    &mut decision,
-                );
-            }
-            let applied = self.apply_decision(input, now, arrival, &mut decision, log);
-            // Hand the scratch (and its allocation) back before surfacing
-            // any model error.
-            self.decision = decision;
-            applied?;
-        }
-        self.fabric.service(now)?;
-        self.fabric.emit(now, log);
-        self.bus.end_slot(now, &self.fabric, &self.buffer_live);
-        Ok(())
+    /// Run a whole trace to completion (arrivals plus drain).
+    pub fn run(&mut self, trace: &Trace) -> Result<PpsRun, ModelError> {
+        let mode = self.stepping;
+        run_trace(self, |e| &mut e.fabric, mode, trace)
     }
 
     fn apply_decision(
@@ -668,24 +568,81 @@ impl<D: BufferedDemultiplexor> BufferedPps<D> {
         }
         Ok(())
     }
+}
+
+impl<D: BufferedDemultiplexor> SlotEngine for BufferedPps<D> {
+    type Stop = ModelError;
+
+    /// Advance one slot. `arrivals` must be sorted by input port (as
+    /// produced by [`Trace::cells`]); the demultiplexor is consulted per
+    /// input in port order, matching the global-FCFS tie-break.
+    fn slot(&mut self, now: Slot, arrivals: &[Cell], log: &mut RunLog) -> Result<(), ModelError> {
+        self.faults.apply_due(now, &mut self.fabric)?;
+        self.bus.begin_slot(now, &self.fabric, &self.buffer_live);
+        let mut arr_iter = arrivals.iter().peekable();
+        for input in 0..self.fabric.cfg().n {
+            let arrival = arr_iter.next_if(|c| c.input.idx() == input).copied();
+            if arrival.is_none() && self.buffers[input].is_empty() {
+                continue;
+            }
+            if let Some(c) = arrival {
+                debug_assert_eq!(c.arrival, now);
+                if telemetry::on() {
+                    telemetry::record(
+                        Engine::Pps,
+                        now,
+                        EventKind::Arrival {
+                            cell: c.id,
+                            input: c.input,
+                            output: c.output,
+                        },
+                    );
+                }
+                self.fabric.register_arrival(&c);
+            }
+            let mut decision = std::mem::take(&mut self.decision);
+            decision.clear();
+            {
+                let buf = self.buffers[input].make_contiguous();
+                let ctx = DispatchCtx {
+                    local: self.fabric.local_view(PortId(input as u32), now),
+                    global: self.bus.view(now),
+                };
+                self.demux.slot_decision(
+                    PortId(input as u32),
+                    arrival.as_ref(),
+                    buf,
+                    &ctx,
+                    &mut decision,
+                );
+            }
+            let applied = self.apply_decision(input, now, arrival, &mut decision, log);
+            // Hand the scratch (and its allocation) back before surfacing
+            // any model error.
+            self.decision = decision;
+            applied?;
+        }
+        self.fabric.service(now)?;
+        self.fabric.emit(now, log);
+        self.bus.end_slot(now, &self.fabric, &self.buffer_live);
+        Ok(())
+    }
 
     /// Cells still inside the switch (buffers + fabric).
-    pub fn backlog(&self) -> usize {
+    fn backlog(&self) -> usize {
         self.fabric.backlog() + self.buffered_cells
     }
 
-    /// Next-activity lookahead; see [`BufferlessPps::next_activity`].
-    ///
-    /// While input buffers hold cells, each occupied input's wake-up comes
-    /// from the demultiplexor's
+    /// The bufferless lookahead, plus the input buffers: while they hold
+    /// cells, each occupied input's wake-up comes from the
+    /// demultiplexor's
     /// [`buffered_next_activity`](BufferedDemultiplexor::buffered_next_activity)
     /// for its head cell (conservative default: the very next slot, the
     /// pre-PR-8 dense behavior) — so hold-for-`u` style algorithms let
     /// buffered runs skip idle gaps too. Waking early is always safe (the
     /// dense walk would have decided "hold" and mutated nothing).
-    pub fn next_activity(&self, now: Slot) -> Option<Slot> {
-        let mut t = self.faults.next_activity();
-        t = earliest(t, self.fabric.next_activity(now));
+    fn next_activity(&self, now: Slot) -> Option<Slot> {
+        let mut t = earliest(self.faults.next_activity(), self.fabric.next_activity(now));
         t = earliest(t, self.demux.next_activity(now));
         if self.buffered_cells > 0 {
             for (input, buf) in self.buffers.iter().enumerate() {
@@ -701,69 +658,46 @@ impl<D: BufferedDemultiplexor> BufferedPps<D> {
                 );
             }
         }
-        t.map(|s| s.max(now + 1))
+        t
     }
 
-    /// Closed-form idle-interval replay; see [`BufferlessPps::skip_idle`].
-    pub fn skip_idle(&mut self, from: Slot, to: Slot) {
+    /// The bufferless replay, with the buffer occupancies in the
+    /// snapshots.
+    fn skip_idle(&mut self, from: Slot, to: Slot) {
         self.fabric.skip_idle_slots(from, to);
         self.bus.skip_gap(from, to, &self.fabric, &self.buffer_live);
     }
-
-    /// Run a whole trace to completion (arrivals plus drain).
-    pub fn run(&mut self, trace: &Trace) -> Result<PpsRun, ModelError> {
-        let cells = trace.cells(self.fabric.cfg().n);
-        self.fabric.reserve_cells(cells.len());
-        let mut log = RunLog::with_cells(&cells);
-        let mut next = 0usize;
-        let mut now: Slot = 0;
-        let cap = drain_cap(trace, self.fabric.cfg());
-        let mut scratch: Vec<Cell> = Vec::new();
-        while next < cells.len() || self.backlog() > 0 {
-            scratch.clear();
-            while next < cells.len() && cells[next].arrival == now {
-                scratch.push(cells[next]);
-                next += 1;
-            }
-            self.slot(now, &scratch, &mut log)?;
-            now += 1;
-            if now > cap {
-                break;
-            }
-            if self.stepping == Stepping::SkipAhead && (next < cells.len() || self.backlog() > 0) {
-                let next_arrival = cells.get(next).map(|c| c.arrival);
-                if next_arrival != Some(now) {
-                    let mut target = next_arrival.unwrap_or(Slot::MAX);
-                    if let Some(t) = self.next_activity(now - 1) {
-                        target = target.min(t);
-                    }
-                    let stop = target.min(cap + 1);
-                    if stop > now {
-                        self.skip_idle(now, stop - 1);
-                        now = stop;
-                        if now > cap {
-                            break;
-                        }
-                    }
-                }
-            }
-        }
-        Ok(PpsRun {
-            log,
-            stats: self.fabric.stats(),
-            end_slot: now,
-        })
-    }
 }
 
-/// Generous upper bound on how long draining a trace can take: every cell
-/// serialized through one line plus slack. Runs hitting the cap report the
-/// leftovers as undelivered instead of spinning forever.
-fn drain_cap(trace: &Trace, cfg: &PpsConfig) -> Slot {
-    trace.horizon()
+/// Drive either PPS engine over `trace` until it drains or hits the
+/// livelock cap: a generous bound on how long draining can take (every
+/// cell serialized through one line plus slack). A capped run reports
+/// the leftovers as undelivered, and `truncated`, instead of spinning
+/// forever.
+fn run_trace<E: SlotEngine<Stop = ModelError>>(
+    engine: &mut E,
+    fabric: fn(&mut E) -> &mut Fabric,
+    mode: Stepping,
+    trace: &Trace,
+) -> Result<PpsRun, ModelError> {
+    let cfg = *fabric(engine).cfg();
+    let cells = trace.cells(cfg.n);
+    fabric(engine).reserve_cells(cells.len());
+    let mut log = RunLog::with_cells(&cells);
+    let cap = trace.horizon()
         + (trace.len() as Slot + 1) * (cfg.r_prime as Slot + 1)
         + cfg.buffer.capacity() as Slot
-        + 64
+        + 64;
+    let Drive {
+        end_slot,
+        truncated,
+    } = drive(engine, &cells, &mut log, mode, cap)?;
+    Ok(PpsRun {
+        log,
+        stats: fabric(engine).stats(),
+        end_slot,
+        truncated,
+    })
 }
 
 /// Convenience: run `trace` through a fresh bufferless PPS.

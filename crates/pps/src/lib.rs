@@ -39,7 +39,6 @@ pub mod demux;
 pub mod engine;
 pub mod fabric;
 pub mod output;
-pub mod perf;
 pub mod plane;
 
 pub use engine::{run_buffered, run_bufferless, BufferedPps, BufferlessPps, PpsRun};

@@ -161,6 +161,27 @@ proptest! {
     }
 }
 
+/// The livelock cap is a typed outcome, the same in both modes: without a
+/// watchdog, a flow that lost a cell on a dead plane blocks its
+/// resequencer forever, so the run can only end at the cap.
+#[test]
+fn dead_plane_without_watchdog_truncates_in_both_modes() {
+    let (n, k, r_prime) = (4usize, 4usize, 2usize);
+    let cfg = PpsConfig::bufferless(n, k, r_prime);
+    let trace = sparse_trace(n, &[(0, 4), (300, 2)]);
+    let rr = || RoundRobinDemux::new(n, k);
+
+    let (dense, skip) = bufferless_pair(cfg, rr, &trace, None);
+    assert_same(&dense, &skip, "fault-free");
+    assert!(!dense.truncated && !skip.truncated, "a healthy run drains");
+
+    let plan = FaultPlan::new().plane_down(0, 0);
+    let (dense, skip) = bufferless_pair(cfg, rr, &trace, Some(&plan));
+    assert_same(&dense, &skip, "dead plane");
+    assert!(dense.truncated && skip.truncated, "the cap stopped the run");
+    assert!(dense.log.undelivered() > 0);
+}
+
 static TELEMETRY_LOCK: Mutex<()> = Mutex::new(());
 
 /// Full-telemetry golden check: a gap-heavy faulted run records exactly
@@ -245,7 +266,7 @@ fn soak_billion_slot_horizon_is_events_bound() {
         trace.horizon()
     );
 
-    let skipped0 = pps_switch::perf::slots_skipped();
+    let skipped0 = pps_core::perf::slots_skipped();
     let mut pps = BufferlessPps::new(cfg, RoundRobinDemux::new(n, k)).expect("engine");
     pps.set_stepping(Stepping::SkipAhead);
     let start = std::time::Instant::now();
@@ -254,7 +275,7 @@ fn soak_billion_slot_horizon_is_events_bound() {
     assert_eq!(run.log.undelivered(), 0);
     assert!(run.end_slot >= trace.horizon());
     // The elided interval is metered, not silently lost.
-    assert!(pps_switch::perf::slots_skipped() - skipped0 >= 900_000_000);
+    assert!(pps_core::perf::slots_skipped() - skipped0 >= 900_000_000);
     assert!(
         elapsed.as_secs_f64() < 30.0,
         "soak took {elapsed:?} — skip-ahead is not events-bound"

@@ -34,11 +34,31 @@ impl ShadowOq {
         self.n
     }
 
+    /// Cells queued for a specific output.
+    pub fn backlog_at(&self, output: usize) -> usize {
+        self.queues[output].len()
+    }
+
+    /// Highest queue occupancy any output ever reached — the paper notes
+    /// this is bounded by the traffic's burstiness factor `B` for
+    /// leaky-bucket traffic (via Cruz's calculus \[9\]).
+    pub fn max_occupancy(&self) -> usize {
+        self.queues
+            .iter()
+            .map(|q| q.max_occupancy())
+            .max()
+            .unwrap_or(0)
+    }
+}
+
+impl SlotEngine for ShadowOq {
+    type Stop = std::convert::Infallible;
+
     /// Advance one slot: accept this slot's arrivals, then let every output
     /// emit at most one cell, recording departures into `log`.
     ///
     /// `arrivals` must all have `arrival == now`.
-    pub fn slot(&mut self, now: Slot, arrivals: &[Cell], log: &mut RunLog) {
+    fn slot(&mut self, now: Slot, arrivals: &[Cell], log: &mut RunLog) -> Result<(), Self::Stop> {
         use pps_core::telemetry::{self, Engine, EventKind};
         for cell in arrivals {
             debug_assert_eq!(cell.arrival, now, "arrival slot mismatch");
@@ -70,67 +90,35 @@ impl ShadowOq {
                 log.set_departure(id, now);
             }
         }
+        Ok(())
     }
 
     /// Total cells currently queued.
-    pub fn backlog(&self) -> usize {
+    fn backlog(&self) -> usize {
         self.queues.iter().map(|q| q.len()).sum()
     }
 
-    /// The next slot strictly after `now` at which the switch does
-    /// anything, ignoring future arrivals. An OQ switch is work-conserving
-    /// — any backlog emits next slot — and an empty one is a pure no-op
-    /// until a cell arrives, so this is `now + 1` or nothing.
-    pub fn next_activity(&self, now: Slot) -> Option<Slot> {
+    /// An OQ switch is work-conserving — any backlog emits next slot — and
+    /// an empty one is a pure no-op until a cell arrives, so this is
+    /// `now + 1` or nothing.
+    fn next_activity(&self, now: Slot) -> Option<Slot> {
         (self.backlog() > 0).then(|| now + 1)
     }
 
-    /// Cells queued for a specific output.
-    pub fn backlog_at(&self, output: usize) -> usize {
-        self.queues[output].len()
-    }
-
-    /// Highest queue occupancy any output ever reached — the paper notes
-    /// this is bounded by the traffic's burstiness factor `B` for
-    /// leaky-bucket traffic (via Cruz's calculus \[9\]).
-    pub fn max_occupancy(&self) -> usize {
-        self.queues
-            .iter()
-            .map(|q| q.max_occupancy())
-            .max()
-            .unwrap_or(0)
-    }
+    /// The shadow switch is a reference, not a simulated engine: it meters
+    /// neither its slots nor its skips.
+    fn skip_idle(&mut self, _from: Slot, _to: Slot) {}
 }
 
 /// Run a trace through a fresh OQ switch until every cell departs; returns
-/// the per-cell log. Uses the process-default stepping mode.
+/// the per-cell log. Uses the process-default stepping mode; both modes
+/// produce identical logs. A work-conserving switch always drains, so the
+/// run has no livelock cap.
 pub fn run_oq(trace: &Trace, n: usize) -> RunLog {
-    run_oq_stepped(trace, n, pps_core::stepping::process_default())
-}
-
-/// [`run_oq`] with an explicit stepping mode. Both modes produce identical
-/// logs: an empty OQ switch is a pure no-op between arrivals (it records
-/// no telemetry and meters no slots), so skip-ahead simply jumps the idle
-/// stretches.
-pub fn run_oq_stepped(trace: &Trace, n: usize, mode: pps_core::Stepping) -> RunLog {
     let cells = trace.cells(n);
     let mut log = RunLog::with_cells(&cells);
-    let mut oq = ShadowOq::new(n);
-    let mut next = 0usize;
-    let mut now: Slot = 0;
-    let mut scratch: Vec<Cell> = Vec::new();
-    while next < cells.len() || oq.backlog() > 0 {
-        scratch.clear();
-        while next < cells.len() && cells[next].arrival == now {
-            scratch.push(cells[next]);
-            next += 1;
-        }
-        oq.slot(now, &scratch, &mut log);
-        now += 1;
-        if mode == pps_core::Stepping::SkipAhead && next < cells.len() && oq.backlog() == 0 {
-            now = now.max(cells[next].arrival);
-        }
-    }
+    let mode = pps_core::stepping::process_default();
+    let Ok(_) = pps_core::stepping::drive(&mut ShadowOq::new(n), &cells, &mut log, mode, Slot::MAX);
     log
 }
 
