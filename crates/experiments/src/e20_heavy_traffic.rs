@@ -19,9 +19,11 @@
 
 use crate::sweep::SweepPlan;
 use crate::ExperimentOutput;
-use pps_analysis::{compare_buffered, compare_bufferless, relative_delays, Table, TailQuantiles};
+use pps_analysis::{relative_delays, Table, TailQuantiles};
 use pps_core::prelude::*;
+use pps_reference::oq::run_oq;
 use pps_switch::demux::{BufferedRoundRobinDemux, RoundRobinDemux};
+use pps_switch::engine::{BufferedPps, BufferlessPps};
 use pps_workload::WorkloadSpec;
 
 /// Geometry: same canonical S = 2 point as E19.
@@ -56,7 +58,8 @@ pub struct LoadPoint {
     pub undelivered: (usize, usize),
 }
 
-/// Measure one load level.
+/// Measure one load level. Both PPS variants are compared against one
+/// shadow OQ run on the shared trace.
 pub fn measure(load: f64, seed: u64) -> LoadPoint {
     let spec = WorkloadSpec::parse(&format!(
         "uniform:n={N},load={load},seed={seed},horizon={HORIZON}"
@@ -65,21 +68,23 @@ pub fn measure(load: f64, seed: u64) -> LoadPoint {
     let trace = spec.trace().expect("materialize");
 
     let cfg = PpsConfig::bufferless(N, K, R_PRIME);
-    let bl = compare_bufferless(cfg, RoundRobinDemux::new(N, K), &trace).expect("bufferless");
+    let bl = BufferlessPps::new(cfg, RoundRobinDemux::new(N, K))
+        .and_then(|mut sw| sw.run(&trace))
+        .expect("bufferless");
     let cfg_b = PpsConfig::buffered(N, K, R_PRIME, BUFFER);
-    let bf = compare_buffered(cfg_b, BufferedRoundRobinDemux::new(N, K), &trace).expect("buffered");
+    let bf = BufferedPps::new(cfg_b, BufferedRoundRobinDemux::new(N, K))
+        .and_then(|mut sw| sw.run(&trace))
+        .expect("buffered");
+    let oq = run_oq(&trace, N);
 
-    let oq_delays: Vec<u64> = bl.oq.records().iter().filter_map(|r| r.delay()).collect();
+    let oq_delays: Vec<u64> = oq.records().iter().filter_map(|r| r.delay()).collect();
     let oq_mean = oq_delays.iter().sum::<u64>() as f64 / oq_delays.len().max(1) as f64;
     LoadPoint {
         load,
         oq_mean,
-        bufferless: TailQuantiles::from(&relative_delays(&bl.pps.log, &bl.oq)).expect("cells"),
-        buffered: TailQuantiles::from(&relative_delays(&bf.pps.log, &bf.oq)).expect("cells"),
-        undelivered: (
-            bl.relative_delay().pps_undelivered,
-            bf.relative_delay().pps_undelivered,
-        ),
+        bufferless: TailQuantiles::from(&relative_delays(&bl.log, &oq)).expect("cells"),
+        buffered: TailQuantiles::from(&relative_delays(&bf.log, &oq)).expect("cells"),
+        undelivered: (bl.log.undelivered(), bf.log.undelivered()),
     }
 }
 

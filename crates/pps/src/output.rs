@@ -120,10 +120,28 @@ impl SeqRing {
     }
 }
 
+/// One input's FlowFifo resequencing state at this output.
+#[derive(Clone, Debug, Default)]
+struct FlowState {
+    /// Cells waiting for earlier cells of the flow (seq-indexed ring —
+    /// O(1) park/unpark, see [`SeqRing`]).
+    reorder: SeqRing,
+    /// Next expected sequence number.
+    next_seq: u32,
+    /// Cells of the flow currently in `eligible` or `pending` (a flow with
+    /// an eligible cell is progressing, not gap-blocked).
+    eligible_count: u32,
+    /// Slot since which the flow has been gap-blocked (cells in reorder,
+    /// none eligible) — the watchdog's per-flow timer.
+    blocked_since: Option<Slot>,
+}
+
 /// One output port's multiplexor.
 #[derive(Clone, Debug)]
 pub struct OutputMux {
     discipline: OutputDiscipline,
+    /// Inputs of the switch: the size of `flows` once it is in use.
+    n: usize,
     /// Which output port this mux serves (telemetry track id; defaults to
     /// port 0 for muxes built outside a fabric, e.g. unit tests).
     port: PortId,
@@ -137,17 +155,10 @@ pub struct OutputMux {
     /// FlowFifo: inputs that received a delivery this slot and need one
     /// gap-timer refresh at flush (deduplicated; at most K entries).
     touched: Vec<u32>,
-    /// FlowFifo: cells waiting for earlier cells of their flow, per input
-    /// (seq-indexed rings — O(1) park/unpark, see [`SeqRing`]).
-    reorder: Vec<SeqRing>,
-    /// FlowFifo: next expected sequence number per input.
-    next_seq: Vec<u32>,
-    /// FlowFifo: cells of each input currently in `eligible` or `pending`
-    /// (a flow with an eligible cell is progressing, not gap-blocked).
-    eligible_count: Vec<u32>,
-    /// FlowFifo: slot since which each input's flow has been gap-blocked
-    /// (cells in reorder, none eligible) — the watchdog's per-flow timer.
-    blocked_since: Vec<Option<Slot>>,
+    /// FlowFifo: per-input flow state, indexed by input. Empty until the
+    /// first FlowFifo delivery, which sizes it to `n`: an output no cell
+    /// reaches, and every GlobalFcfs or Greedy mux, never pays for it.
+    flows: Vec<FlowState>,
     /// GlobalFcfs: ids of cells bound for this output that are inside the
     /// switch but have not yet been emitted (registered at dispatch time).
     /// Kept sorted; the bufferless engine registers in increasing id order
@@ -183,14 +194,12 @@ impl OutputMux {
     pub fn new(n: usize, discipline: OutputDiscipline) -> Self {
         OutputMux {
             discipline,
+            n,
             port: PortId(0),
             eligible: BinaryHeap::new(),
             pending: Vec::new(),
             touched: Vec::new(),
-            reorder: (0..n).map(|_| SeqRing::default()).collect(),
-            next_seq: vec![0; n],
-            eligible_count: vec![0; n],
-            blocked_since: vec![None; n],
+            flows: Vec::new(),
             in_flight: VecDeque::new(),
             present: BinaryHeap::new(),
             held: 0,
@@ -259,16 +268,20 @@ impl OutputMux {
     pub fn deliver(&mut self, pool: &CellPool, id: CellId, now: Slot) -> bool {
         match self.discipline {
             OutputDiscipline::FlowFifo => {
+                if self.flows.is_empty() {
+                    self.flows.resize_with(self.n, FlowState::default);
+                }
                 let i = pool.input(id).idx();
                 let seq = pool.seq(id);
-                if seq < self.next_seq[i] {
+                let flow = &mut self.flows[i];
+                if seq < flow.next_seq {
                     self.late_dropped += 1;
                     return false;
                 }
                 self.held += 1;
                 self.max_held = self.max_held.max(self.held);
-                if seq == self.next_seq[i] {
-                    self.eligible_count[i] += 1;
+                if seq == flow.next_seq {
+                    flow.eligible_count += 1;
                     self.pending.push((pool.arrival(id), id));
                 } else {
                     if telemetry::on() {
@@ -281,7 +294,7 @@ impl OutputMux {
                             },
                         );
                     }
-                    self.reorder[i].insert(seq, id);
+                    flow.reorder.insert(seq, id);
                 }
                 let i = i as u32;
                 if !self.touched.contains(&i) {
@@ -351,7 +364,7 @@ impl OutputMux {
     }
 
     fn push_eligible(&mut self, pool: &CellPool, id: CellId) {
-        self.eligible_count[pool.input(id).idx()] += 1;
+        self.flows[pool.input(id).idx()].eligible_count += 1;
         self.eligible.push(Reverse((pool.arrival(id), id)));
     }
 
@@ -359,10 +372,11 @@ impl OutputMux {
     /// it has cells waiting in reorder and none eligible (an eligible cell
     /// means the flow is progressing — it will emit and advance `next_seq`).
     fn refresh_gap(&mut self, i: usize, now: Slot) {
-        if self.reorder[i].is_empty() || self.eligible_count[i] > 0 {
-            self.blocked_since[i] = None;
-        } else if self.blocked_since[i].is_none() {
-            self.blocked_since[i] = Some(now);
+        let flow = &mut self.flows[i];
+        if flow.reorder.is_empty() || flow.eligible_count > 0 {
+            flow.blocked_since = None;
+        } else if flow.blocked_since.is_none() {
+            flow.blocked_since = Some(now);
         }
     }
 
@@ -406,21 +420,23 @@ impl OutputMux {
     /// blocked for the timeout, making its waiting head eligible.
     fn expire_gaps(&mut self, pool: &CellPool, now: Slot) {
         let limit = self.watchdog.expect("caller checked");
-        for i in 0..self.blocked_since.len() {
-            let Some(since) = self.blocked_since[i] else {
+        for i in 0..self.flows.len() {
+            let flow = &mut self.flows[i];
+            let Some(since) = flow.blocked_since else {
                 continue;
             };
             if now - since + 1 < limit {
                 continue;
             }
-            let seq = self.reorder[i]
+            let seq = flow
+                .reorder
                 .min_seq()
                 .expect("blocked flows have waiting cells");
             // The gap [next_seq, seq) is declared lost.
-            let lost = seq - self.next_seq[i];
+            let lost = seq - flow.next_seq;
             self.skipped += u64::from(lost);
-            self.next_seq[i] = seq;
-            let head = self.reorder[i].remove(seq).expect("min seq is present");
+            flow.next_seq = seq;
+            let head = flow.reorder.remove(seq).expect("min seq is present");
             if telemetry::on() {
                 telemetry::record(
                     Engine::Pps,
@@ -449,10 +465,11 @@ impl OutputMux {
             OutputDiscipline::FlowFifo => {
                 let Reverse((_, id)) = self.eligible.pop()?;
                 let i = pool.input(id).idx();
-                self.eligible_count[i] -= 1;
-                self.next_seq[i] = pool.seq(id) + 1;
+                let flow = &mut self.flows[i];
+                flow.eligible_count -= 1;
+                flow.next_seq = pool.seq(id) + 1;
                 // The successor may now be eligible.
-                if let Some(next) = self.reorder[i].remove(self.next_seq[i]) {
+                if let Some(next) = flow.reorder.remove(flow.next_seq) {
                     if telemetry::on() {
                         telemetry::record(
                             Engine::Pps,
@@ -556,10 +573,10 @@ impl OutputMux {
             // A blocked flow's gap expires during its limit-th consecutive
             // blocked slot: `since + limit - 1`.
             OutputDiscipline::FlowFifo => self
-                .blocked_since
+                .flows
                 .iter()
-                .flatten()
-                .map(|&since| (since + limit - 1).max(now + 1))
+                .filter_map(|flow| flow.blocked_since)
+                .map(|since| (since + limit - 1).max(now + 1))
                 .min(),
             // Whole-mux stall clock; if it has not started yet, dense would
             // start it at the next stalled slot (`now + 1`).
@@ -730,6 +747,27 @@ mod tests {
         m.deliver(cell(2, 0, 2, 0), 1);
         assert_eq!(m.m.max_held(), 2);
         assert_eq!(m.m.emitted(), 1);
+    }
+
+    #[test]
+    fn flow_table_is_sized_by_the_first_flow_fifo_delivery() {
+        const N: usize = 1024;
+        for d in [OutputDiscipline::GlobalFcfs, OutputDiscipline::Greedy] {
+            let mut m = Rig::new(N, d);
+            assert!(m.m.flows.is_empty(), "{d:?}: empty at construction");
+            m.m.register_in_flight(CellId(0));
+            m.deliver(cell(0, (N - 1) as u32, 0, 0), 0);
+            assert_eq!(m.emit(0), Some(CellId(0)));
+            assert!(m.m.flows.is_empty(), "{d:?}: never touches the table");
+        }
+        let mut m = Rig::new(N, OutputDiscipline::FlowFifo);
+        m.m.set_watchdog(Some(4));
+        assert!(m.m.flows.is_empty());
+        assert_eq!(m.m.next_activity(0), None, "untouched mux is inert");
+        m.deliver(cell(0, (N - 1) as u32, 1, 0), 0);
+        assert_eq!(m.m.flows.len(), N);
+        assert_eq!(m.emit(0), None);
+        assert_eq!(m.m.next_activity(0), Some(3));
     }
 
     #[test]

@@ -186,6 +186,80 @@ fn build_run(
     (cells, schedule)
 }
 
+/// Drive the real mux and the naive model over one built run, slot by
+/// slot, and require identical emissions and counters. `lens[i]` is input
+/// `i`'s flow length, so `lens.len()` is the switch size `n`.
+fn check_against_model(
+    lens: &[usize],
+    seed: u64,
+    max_delay: u64,
+    watchdog: Option<Slot>,
+) -> Result<(), TestCaseError> {
+    let (cells, schedule) = build_run(lens, seed, max_delay);
+    let n = lens.len();
+
+    let mut pool = CellPool::new();
+    for c in &cells {
+        pool.ensure(c);
+    }
+    let mut real = OutputMux::new(n, OutputDiscipline::FlowFifo);
+    real.set_watchdog(watchdog);
+    let mut model = ModelMux::new(n, watchdog);
+
+    let last = schedule.keys().next_back().copied().unwrap_or(0);
+    // Everything is delivered by `last`; with gaps filled (or expired
+    // by the watchdog) the mux drains one cell per slot afterwards.
+    let horizon = last + cells.len() as u64 + watchdog.unwrap_or(0) + 2;
+    let mut real_out = Vec::new();
+    let mut model_out = Vec::new();
+    for now in 0..=horizon {
+        if let Some(batch) = schedule.get(&now) {
+            let model_accepted = model.deliver_batch(&cells, batch, now);
+            let real_accepted = real.deliver_batch(&pool, batch, now);
+            prop_assert_eq!(
+                real_accepted,
+                model_accepted.iter().filter(|&&a| a).count(),
+                "accepted count diverged in slot {}",
+                now
+            );
+        }
+        let r = real.emit(&pool, now);
+        let m = model.emit(&cells, now);
+        prop_assert_eq!(r, m, "emission diverged in slot {}", now);
+        if let Some(id) = r {
+            real_out.push(id);
+        }
+        if let Some(id) = m {
+            model_out.push(id);
+        }
+    }
+
+    // Fully drained, and the delivered sequence matches exactly.
+    prop_assert_eq!(real.held(), 0, "real mux failed to drain");
+    prop_assert_eq!(model.held, 0, "model failed to drain");
+    prop_assert_eq!(&real_out, &model_out);
+
+    // Per-flow order was preserved among emitted cells.
+    let mut last_seq = vec![None::<u32>; n];
+    for id in &real_out {
+        let c = &cells[id.idx()];
+        let prev = last_seq[c.input.idx()].replace(c.seq);
+        prop_assert!(prev.is_none_or(|p| c.seq > p), "flow order violated");
+    }
+
+    // Counters agree: emitted + skipped-or-late accounts for every cell.
+    prop_assert_eq!(real.emitted(), model.emitted);
+    prop_assert_eq!(real.skipped(), model.skipped);
+    prop_assert_eq!(real.late_dropped(), model.late_dropped);
+    prop_assert_eq!(real.stalled_slots(), model.stalled_slots);
+    if watchdog.is_none() {
+        prop_assert_eq!(real.emitted() as usize, cells.len());
+        prop_assert_eq!(real.skipped(), 0);
+        prop_assert_eq!(real.late_dropped(), 0);
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -196,66 +270,28 @@ proptest! {
         max_delay in 0u64..9,
         watchdog in (0u64..5).prop_map(|w| (w > 0).then_some(w)),
     ) {
-        let (cells, schedule) = build_run(&lens, seed, max_delay);
-        let n = lens.len();
+        check_against_model(&lens, seed, max_delay, watchdog)?;
+    }
 
-        let mut pool = CellPool::new();
-        for c in &cells {
-            pool.ensure(c);
+    /// A large switch with only a few active flows — the shape of the
+    /// paper's sparse attacks. The mux's flow table is sized lazily on the
+    /// first delivery, so the highest input index `n − 1` (always active
+    /// here) pins that it covers every input.
+    #[test]
+    fn sparse_large_n_matches_naive_reference_model(
+        big in 0u8..2,
+        others in proptest::collection::vec((0usize..1023, 1usize..10), 0usize..4),
+        last_len in 1usize..10,
+        seed in 0u64..10_000,
+        max_delay in 0u64..9,
+        watchdog in (0u64..5).prop_map(|w| (w > 0).then_some(w)),
+    ) {
+        let n = if big == 1 { 1024 } else { 64 };
+        let mut lens = vec![0; n];
+        lens[n - 1] = last_len;
+        for (i, len) in others {
+            lens[i % (n - 1)] = len;
         }
-        let mut real = OutputMux::new(n, OutputDiscipline::FlowFifo);
-        real.set_watchdog(watchdog);
-        let mut model = ModelMux::new(n, watchdog);
-
-        let last = schedule.keys().next_back().copied().unwrap_or(0);
-        // Everything is delivered by `last`; with gaps filled (or expired
-        // by the watchdog) the mux drains one cell per slot afterwards.
-        let horizon = last + cells.len() as u64 + watchdog.unwrap_or(0) + 2;
-        let mut real_out = Vec::new();
-        let mut model_out = Vec::new();
-        for now in 0..=horizon {
-            if let Some(batch) = schedule.get(&now) {
-                let model_accepted = model.deliver_batch(&cells, batch, now);
-                let real_accepted = real.deliver_batch(&pool, batch, now);
-                prop_assert_eq!(
-                    real_accepted,
-                    model_accepted.iter().filter(|&&a| a).count(),
-                    "accepted count diverged in slot {}", now
-                );
-            }
-            let r = real.emit(&pool, now);
-            let m = model.emit(&cells, now);
-            prop_assert_eq!(r, m, "emission diverged in slot {}", now);
-            if let Some(id) = r {
-                real_out.push(id);
-            }
-            if let Some(id) = m {
-                model_out.push(id);
-            }
-        }
-
-        // Fully drained, and the delivered sequence matches exactly.
-        prop_assert_eq!(real.held(), 0, "real mux failed to drain");
-        prop_assert_eq!(model.held, 0, "model failed to drain");
-        prop_assert_eq!(&real_out, &model_out);
-
-        // Per-flow order was preserved among emitted cells.
-        let mut last_seq = vec![None::<u32>; n];
-        for id in &real_out {
-            let c = &cells[id.idx()];
-            let prev = last_seq[c.input.idx()].replace(c.seq);
-            prop_assert!(prev.is_none_or(|p| c.seq > p), "flow order violated");
-        }
-
-        // Counters agree: emitted + skipped-or-late accounts for every cell.
-        prop_assert_eq!(real.emitted(), model.emitted);
-        prop_assert_eq!(real.skipped(), model.skipped);
-        prop_assert_eq!(real.late_dropped(), model.late_dropped);
-        prop_assert_eq!(real.stalled_slots(), model.stalled_slots);
-        if watchdog.is_none() {
-            prop_assert_eq!(real.emitted() as usize, cells.len());
-            prop_assert_eq!(real.skipped(), 0);
-            prop_assert_eq!(real.late_dropped(), 0);
-        }
+        check_against_model(&lens, seed, max_delay, watchdog)?;
     }
 }

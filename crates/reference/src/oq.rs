@@ -18,6 +18,11 @@ pub struct ShadowOq {
     /// id (the `RunLog` keyed by it holds the metadata), so the queues
     /// never park whole `Cell` values.
     queues: Vec<FifoQueue<CellId>>,
+    /// Cells queued across all outputs.
+    queued: usize,
+    /// Bitset of non-empty outputs (bit `j % 64` of word `j / 64`), so a
+    /// slot visits only the outputs that can depart, in ascending order.
+    busy: Vec<u64>,
 }
 
 impl ShadowOq {
@@ -26,6 +31,8 @@ impl ShadowOq {
         ShadowOq {
             n,
             queues: (0..n).map(|_| FifoQueue::new()).collect(),
+            queued: 0,
+            busy: vec![0; n.div_ceil(64)],
         }
     }
 
@@ -54,8 +61,9 @@ impl ShadowOq {
 impl SlotEngine for ShadowOq {
     type Stop = std::convert::Infallible;
 
-    /// Advance one slot: accept this slot's arrivals, then let every output
-    /// emit at most one cell, recording departures into `log`.
+    /// Advance one slot: accept this slot's arrivals, then let every
+    /// non-empty output emit one cell, in ascending port order, recording
+    /// departures into `log`.
     ///
     /// `arrivals` must all have `arrival == now`.
     fn slot(&mut self, now: Slot, arrivals: &[Cell], log: &mut RunLog) -> Result<(), Self::Stop> {
@@ -73,10 +81,22 @@ impl SlotEngine for ShadowOq {
                     },
                 );
             }
-            self.queues[cell.output.idx()].push(cell.id);
+            let j = cell.output.idx();
+            self.queues[j].push(cell.id);
+            self.busy[j / 64] |= 1 << (j % 64);
         }
-        for (j, q) in self.queues.iter_mut().enumerate() {
-            if let Some(id) = q.pop() {
+        self.queued += arrivals.len();
+        for w in 0..self.busy.len() {
+            let mut bits = self.busy[w];
+            while bits != 0 {
+                let j = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let q = &mut self.queues[j];
+                let id = q.pop().expect("busy outputs hold a cell");
+                if q.is_empty() {
+                    self.busy[w] &= !(1 << (j % 64));
+                }
+                self.queued -= 1;
                 if telemetry::on() {
                     telemetry::record(
                         Engine::ShadowOq,
@@ -95,7 +115,7 @@ impl SlotEngine for ShadowOq {
 
     /// Total cells currently queued.
     fn backlog(&self) -> usize {
-        self.queues.iter().map(|q| q.len()).sum()
+        self.queued
     }
 
     /// An OQ switch is work-conserving — any backlog emits next slot — and
