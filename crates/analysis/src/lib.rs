@@ -26,10 +26,10 @@ pub mod table;
 pub mod timeseries;
 
 pub use degradation::{fault_impact, FaultImpact};
-pub use distribution::{relative_delays, Histogram, Log2Histogram, Percentiles, TailQuantiles};
+pub use distribution::{relative_delays, Histogram, Percentiles, TailQuantiles};
 pub use lockstep::{
     compare_buffered, compare_buffered_faulted, compare_bufferless, compare_bufferless_faulted,
-    compare_bufferless_intra, Comparison,
+    Comparison,
 };
 pub use metrics::{flow_jitters, RelativeDelay};
 pub use plot::AsciiChart;

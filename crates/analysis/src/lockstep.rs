@@ -98,23 +98,6 @@ pub fn compare_buffered<D: BufferedDemultiplexor>(
     Ok(Comparison { pps, oq, n: cfg.n })
 }
 
-/// Like [`compare_bufferless`], but pins the PPS engine's intra-run shard
-/// count instead of inheriting the process-wide default. Results are
-/// byte-identical at any value (DESIGN.md §16) — callers use this to
-/// exercise the sharded fabric explicitly, or to pin a point serial.
-pub fn compare_bufferless_intra<D: Demultiplexor>(
-    cfg: PpsConfig,
-    demux: D,
-    trace: &Trace,
-    intra_jobs: usize,
-) -> Result<Comparison, ModelError> {
-    let mut sw = BufferlessPps::new(cfg, demux)?;
-    sw.set_intra_jobs(intra_jobs);
-    let pps = sw.run(trace)?;
-    let oq = run_oq(trace, cfg.n);
-    Ok(Comparison { pps, oq, n: cfg.n })
-}
-
 /// Like [`compare_bufferless`], but the PPS replays the scripted `faults`
 /// mid-run. The shadow switch stays fault-free: relative metrics then
 /// measure pure degradation, not a shifted baseline.

@@ -1,22 +1,17 @@
-//! Intra-run sharding benches (DESIGN.md §16): one giant fabric's planes
-//! and output resequencers split across the worker budget. Results are
-//! byte-identical at any shard count (see the `intra_determinism` suite);
-//! these benches measure the wall-clock side of that contract.
+//! Large-fabric benches: three shapes that stress the serial fabric walk
+//! from different sides.
 //!
-//! Three shapes:
 //! * `plane_shard_*` — plane-heavy service sweeps at N = 512 and
-//!   N = 2048 across K = 32 planes, where sharding the agenda pays;
-//! * `reseq_shard_*` — an emit-dominated workload (every output active,
-//!   GlobalFcfs reordering) that scales with resequencer shards;
+//!   N = 2048 across K = 32 planes;
+//! * `reseq_shard_n512` — an emit-dominated workload (every output
+//!   active, GlobalFcfs reordering) that loads the resequencers;
 //! * `barrier_*` — a small-N, long-horizon run at K = 8 and K = 32 where
-//!   per-slot work is tiny, so the sharded run's cost is dominated by the
-//!   barrier merge itself.
+//!   per-slot work is tiny, so fixed per-slot overhead dominates.
 //!
-//! Only the `intra1` side of each set is gated in CI via
-//! BENCH_baselines.json: on the 1-CPU CI runner the sharded variants fall
-//! back to the inline path, so their wall clock tracks core count, not
-//! code quality — gating the serial side pins the invariant that sharding
-//! support must not slow the serial walk down.
+//! The group, the shape names and the `intra1` suffix are the ids gated in
+//! BENCH_baselines.json. They date from when the fabric could also split
+//! one run across threads (removed; DESIGN.md §16), and they keep their
+//! names so the committed baselines stay comparable across that removal.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
@@ -25,10 +20,9 @@ use pps_core::prelude::*;
 use pps_switch::demux::RoundRobinDemux;
 use pps_switch::engine::BufferlessPps;
 
-fn run_intra(cfg: PpsConfig, trace: &Trace, intra: usize) -> u64 {
+fn run(cfg: PpsConfig, trace: &Trace) -> u64 {
     let (n, k) = (cfg.n, cfg.k);
     let mut pps = BufferlessPps::new(cfg, RoundRobinDemux::new(n, k)).expect("engine");
-    pps.set_intra_jobs(intra);
     pps.run(trace).expect("run").end_slot
 }
 
@@ -50,29 +44,26 @@ fn heavy_trace(n: usize, slots: u64) -> Trace {
     Trace::build(v, n).expect("trace")
 }
 
-/// Plane-shard scaling: giant port counts across K = 32 planes.
-fn bench_plane_shard(c: &mut Criterion) {
+/// Giant port counts across K = 32 planes.
+fn bench_plane_service(c: &mut Criterion) {
     for (n, slots) in [(512usize, 8u64), (2048, 2)] {
         let cfg = PpsConfig::bufferless(n, 32, 2);
         let trace = heavy_trace(n, slots);
         let mut g = c.benchmark_group("intra_run");
         g.sample_size(10);
         g.throughput(Throughput::Elements(trace.len() as u64));
-        for intra in [1usize, 2, 4] {
-            g.bench_with_input(
-                BenchmarkId::new(format!("plane_shard_n{n}"), format!("intra{intra}")),
-                &trace,
-                |b, t| b.iter(|| run_intra(cfg, black_box(t), intra)),
-            );
-        }
+        g.bench_with_input(
+            BenchmarkId::new(format!("plane_shard_n{n}"), "intra1"),
+            &trace,
+            |b, t| b.iter(|| run(cfg, black_box(t))),
+        );
         g.finish();
     }
 }
 
-/// Resequencer-shard scaling: GlobalFcfs makes every delivery pass
-/// through the reorder machinery, and uniform spread keeps all N output
-/// muxes on the active list at once.
-fn bench_reseq_shard(c: &mut Criterion) {
+/// GlobalFcfs makes every delivery pass through the reorder machinery,
+/// and uniform spread keeps all N output muxes on the active list at once.
+fn bench_resequencer(c: &mut Criterion) {
     let n = 512usize;
     let cfg = PpsConfig::bufferless(n, 8, 2).with_discipline(OutputDiscipline::GlobalFcfs);
     let mut v = Vec::new();
@@ -85,20 +76,17 @@ fn bench_reseq_shard(c: &mut Criterion) {
     let mut g = c.benchmark_group("intra_run");
     g.sample_size(10);
     g.throughput(Throughput::Elements(trace.len() as u64));
-    for intra in [1usize, 2, 4] {
-        g.bench_with_input(
-            BenchmarkId::new("reseq_shard_n512", format!("intra{intra}")),
-            &trace,
-            |b, t| b.iter(|| run_intra(cfg, black_box(t), intra)),
-        );
-    }
+    g.bench_with_input(
+        BenchmarkId::new("reseq_shard_n512", "intra1"),
+        &trace,
+        |b, t| b.iter(|| run(cfg, black_box(t))),
+    );
     g.finish();
 }
 
-/// Barrier overhead: tiny per-slot work over a long horizon, so the
-/// sharded variants mostly measure the per-slot merge. K = 8 vs K = 32
-/// varies how much state the barrier touches per slot.
-fn bench_barrier(c: &mut Criterion) {
+/// Per-slot overhead: tiny per-slot work over a long horizon. K = 8 vs
+/// K = 32 varies how much state each slot touches.
+fn bench_per_slot(c: &mut Criterion) {
     for k in [8usize, 32] {
         let n = 64usize;
         let cfg = PpsConfig::bufferless(n, k, 2);
@@ -106,21 +94,19 @@ fn bench_barrier(c: &mut Criterion) {
         let mut g = c.benchmark_group("intra_run");
         g.sample_size(10);
         g.throughput(Throughput::Elements(trace.horizon()));
-        for intra in [1usize, 4] {
-            g.bench_with_input(
-                BenchmarkId::new(format!("barrier_k{k}"), format!("intra{intra}")),
-                &trace,
-                |b, t| b.iter(|| run_intra(cfg, black_box(t), intra)),
-            );
-        }
+        g.bench_with_input(
+            BenchmarkId::new(format!("barrier_k{k}"), "intra1"),
+            &trace,
+            |b, t| b.iter(|| run(cfg, black_box(t))),
+        );
         g.finish();
     }
 }
 
 criterion_group!(
     intra_run,
-    bench_plane_shard,
-    bench_reseq_shard,
-    bench_barrier
+    bench_plane_service,
+    bench_resequencer,
+    bench_per_slot
 );
 criterion_main!(intra_run);

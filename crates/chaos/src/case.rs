@@ -330,7 +330,7 @@ impl ChaosCase {
         };
 
         // 7. Stochastic upgrade. A seed-derived hash — the same idiom as
-        //    [`stepping`](Self::stepping)/[`intra_jobs`](Self::intra_jobs),
+        //    [`stepping`](Self::stepping),
         //    *not* a fresh RNG draw, so the draw order above is untouched —
         //    swaps the classic generator for a pps-workload stochastic one
         //    in a quarter of cases: an eighth Zipf flow populations, an
@@ -506,22 +506,6 @@ impl ChaosCase {
         }
     }
 
-    /// The intra-run shard count this case runs its engines with. Like
-    /// [`stepping`](Self::stepping) it is derived from the already-drawn
-    /// `seed` (a different xor-mix-and-shift hash, *not* a fresh RNG
-    /// draw), so adding it changed neither the generation draw order nor
-    /// the stepping split, and every recorded `(seed, index)` repro pair
-    /// stays valid. Half the cases run serial, the rest shard the fabric
-    /// 2 or 4 ways — sharding is specified to be byte-identical to the
-    /// serial walk (DESIGN.md §16), so every oracle stays sound.
-    pub fn intra_jobs(&self) -> usize {
-        match (self.seed ^ 0x9E37_79B9_7F4A_7C15).wrapping_mul(0x2545_F491_4F6C_DD1D) >> 62 {
-            0 | 1 => 1,
-            2 => 2,
-            _ => 4,
-        }
-    }
-
     /// The scheduler the comparison crossbar runs for this case. Derived
     /// from the already-drawn `seed` by the same hash idiom as
     /// [`stepping`](Self::stepping) — *not* a fresh RNG draw — so adding
@@ -661,19 +645,6 @@ mod tests {
                 .validate(&case.config())
                 .unwrap_or_else(|e| panic!("case {i}: {e}"));
         }
-    }
-
-    #[test]
-    fn intra_jobs_draw_mixes_serial_and_sharded() {
-        let mut seen = [0usize; 5];
-        for i in 0..256 {
-            let case = ChaosCase::generate(42, i, 64);
-            seen[case.intra_jobs()] += 1;
-        }
-        assert_eq!(seen[0] + seen[3], 0, "draw outside {{1, 2, 4}}");
-        assert!(seen[1] > 0 && seen[2] > 0 && seen[4] > 0, "{seen:?}");
-        // Two of the four hash buckets map to serial.
-        assert!(seen[1] >= 64, "serial underrepresented: {seen:?}");
     }
 
     #[test]

@@ -53,10 +53,6 @@ pub struct RunOpts {
     /// draw it from its seed ([`ChaosCase::stepping`]). Used by the
     /// dense/skip equivalence tests; `None` in normal campaigns.
     pub force_stepping: Option<Stepping>,
-    /// Pin the engine's intra-run shard count instead of letting the case
-    /// draw it from its seed ([`ChaosCase::intra_jobs`]). Used by the
-    /// sharded/serial equivalence tests; `None` in normal campaigns.
-    pub force_intra_jobs: Option<usize>,
     /// Pin the comparison CIOQ switch's speedup instead of the default
     /// [`CIOQ_SPEEDUP`]. Used by the speedup × fault interaction tests;
     /// `None` in normal campaigns.
@@ -317,16 +313,14 @@ pub fn run_case(case: &ChaosCase, opts: RunOpts) -> CaseOutcome {
     outcome
 }
 
-/// Materialize the case's PPS with its fault plan, shard count and armed
-/// conservation leaks, and run it in lockstep.
+/// Materialize the case's PPS with its fault plan and armed conservation
+/// leaks, and run it in lockstep.
 fn lockstep(case: &ChaosCase, opts: RunOpts, cells: &[Cell]) -> (CaseOutcome, RunLog, RunLog) {
-    let intra_jobs = opts.force_intra_jobs.unwrap_or_else(|| case.intra_jobs());
     let (cfg, plan) = (case.config(), Arc::new(case.plan.clone()));
     if case.buffer == 0 {
         let demux = FuzzDemux::build(case.demux, case.n, case.k, case.r_prime, case.seed);
         let engine = BufferlessPps::new(cfg, demux).and_then(|mut e| {
             e.set_fault_plan_shared(plan)?;
-            e.set_intra_jobs(intra_jobs);
             (0..opts.inject_leak).for_each(|_| e.inject_conservation_leak());
             Ok(e)
         });
@@ -335,7 +329,6 @@ fn lockstep(case: &ChaosCase, opts: RunOpts, cells: &[Cell]) -> (CaseOutcome, Ru
         let demux = FuzzBufferedDemux::build(case.demux, case.n, case.k, case.r_prime);
         let engine = BufferedPps::new(cfg, demux).and_then(|mut e| {
             e.set_fault_plan_shared(plan)?;
-            e.set_intra_jobs(intra_jobs);
             (0..opts.inject_leak).for_each(|_| e.inject_conservation_leak());
             Ok(e)
         });

@@ -82,35 +82,6 @@ fn report_is_byte_identical_dense_vs_skip() {
 }
 
 #[test]
-fn report_is_byte_identical_sharded_vs_serial() {
-    // Sharding a case's fabric across intra-run workers must reproduce
-    // the serial walk exactly — same verdicts, same tallies, the whole
-    // report byte for byte. Without pinning, each case draws its shard
-    // count from its seed (ChaosCase::intra_jobs), so the unpinned
-    // campaign in seeded_campaign_is_violation_free already mixes serial
-    // and sharded cases; this test isolates the comparison.
-    let base = ChaosOptions {
-        seed: 42,
-        cases: 32,
-        budget_slots: 128,
-        repro_out: temp_dir("intra"),
-        ..ChaosOptions::default()
-    };
-    let serial = cli::run(&ChaosOptions {
-        force_intra_jobs: Some(1),
-        ..base.clone()
-    })
-    .expect("serial run");
-    let sharded = cli::run(&ChaosOptions {
-        force_intra_jobs: Some(4),
-        ..base
-    })
-    .expect("sharded run");
-    assert_eq!(serial.failed, 0, "{}", serial.text);
-    assert_eq!(serial.text, sharded.text);
-}
-
-#[test]
 fn injected_bug_is_caught_and_shrunk() {
     let repro_root = temp_dir("leak");
     // Arm the conservation-leak hook on every case: any case whose plan

@@ -134,99 +134,6 @@ impl LinkBank {
         let idx = self.at(x, y);
         self.busy_until[idx] = self.busy_until[idx].max(until);
     }
-
-    /// Split the bank into disjoint mutable row bands of `rows_per_part`
-    /// near-side ports each (the last band may be shorter). Each
-    /// [`LinkBankPart`] keeps *global* row indices so shard code is
-    /// index-identical to the serial walk; per-part acquisitions are
-    /// tallied locally and folded back with [`LinkBank::add_acquisitions`]
-    /// at the merge barrier.
-    pub fn split_rows_mut(&mut self, rows_per_part: usize) -> Vec<LinkBankPart<'_>> {
-        let (b, r_prime, side) = (self.b, self.r_prime, self.side);
-        self.busy_until
-            .chunks_mut(rows_per_part * b)
-            .enumerate()
-            .map(|(i, band)| LinkBankPart {
-                busy_until: band,
-                base: i * rows_per_part,
-                b,
-                r_prime,
-                side,
-                taken: 0,
-            })
-            .collect()
-    }
-
-    /// Fold `n` shard-local acquisitions (see [`LinkBankPart::taken`]) into
-    /// the bank's cumulative count.
-    pub fn add_acquisitions(&mut self, n: u64) {
-        self.acquisitions += n;
-    }
-}
-
-/// A disjoint mutable band of [`LinkBank`] rows handed to one intra-run
-/// shard. All indices are the bank's global near-side indices; the band
-/// panics (via slice bounds, debug-asserted first) on rows it does not own,
-/// which is exactly the shard-isolation invariant the fabric relies on.
-#[derive(Debug)]
-pub struct LinkBankPart<'a> {
-    busy_until: &'a mut [Slot],
-    base: usize,
-    b: usize,
-    r_prime: Slot,
-    side: LinkSide,
-    taken: u64,
-}
-
-impl LinkBankPart<'_> {
-    #[inline]
-    fn at(&self, x: usize, y: usize) -> usize {
-        debug_assert!(x >= self.base && y < self.b);
-        (x - self.base) * self.b + y
-    }
-
-    /// Is line `(x, y)` free at slot `now`? (`x` is a global row index.)
-    #[inline]
-    pub fn is_free(&self, x: usize, y: usize, now: Slot) -> bool {
-        self.busy_until[self.at(x, y)] <= now
-    }
-
-    /// Slot at which line `(x, y)` next becomes free.
-    #[inline]
-    pub fn free_at(&self, x: usize, y: usize) -> Slot {
-        self.busy_until[self.at(x, y)]
-    }
-
-    /// Occupy line `(x, y)` for a transmission starting at `now` — the
-    /// same semantics and error variants as [`LinkBank::acquire`].
-    pub fn acquire(&mut self, x: usize, y: usize, now: Slot) -> Result<(), ModelError> {
-        let idx = self.at(x, y);
-        let busy_until = self.busy_until[idx];
-        if busy_until > now {
-            return Err(match self.side {
-                LinkSide::InputToPlane => ModelError::InputConstraintViolation {
-                    input: PortId(x as u32),
-                    plane: PlaneId(y as u32),
-                    at: now,
-                    busy_until,
-                },
-                LinkSide::PlaneToOutput => ModelError::OutputConstraintViolation {
-                    plane: PlaneId(x as u32),
-                    output: PortId(y as u32),
-                    at: now,
-                    busy_until,
-                },
-            });
-        }
-        self.busy_until[idx] = now + self.r_prime;
-        self.taken += 1;
-        Ok(())
-    }
-
-    /// Successful acquisitions through this part since the split.
-    pub fn taken(&self) -> u64 {
-        self.taken
-    }
 }
 
 #[cfg(test)]
@@ -302,38 +209,5 @@ mod tests {
         bank.reset();
         assert!(bank.is_free(0, 1, 0));
         assert_eq!(bank.acquisitions(), 0);
-    }
-
-    #[test]
-    fn split_rows_matches_whole_bank_semantics() {
-        let mut bank = LinkBank::new(5, 3, 4, LinkSide::PlaneToOutput);
-        bank.acquire(4, 2, 1).unwrap();
-        let folded = {
-            let mut parts = bank.split_rows_mut(2);
-            assert_eq!(parts.len(), 3, "ceil(5/2) bands");
-            // Global indices address the right band; state is shared with
-            // the bank.
-            assert!(!parts[2].is_free(4, 2, 3));
-            assert_eq!(parts[2].free_at(4, 2), 5);
-            parts[0].acquire(1, 0, 7).unwrap();
-            parts[1].acquire(2, 1, 7).unwrap();
-            let err = parts[2].acquire(4, 2, 3).unwrap_err();
-            assert!(matches!(
-                err,
-                ModelError::OutputConstraintViolation {
-                    plane: PlaneId(4),
-                    output: PortId(2),
-                    at: 3,
-                    busy_until: 5,
-                }
-            ));
-            assert_eq!(parts[0].taken(), 1);
-            assert_eq!(parts[2].taken(), 0);
-            parts.iter().map(|p| p.taken()).sum::<u64>()
-        };
-        bank.add_acquisitions(folded);
-        assert_eq!(bank.acquisitions(), 3, "1 direct + 2 folded");
-        assert_eq!(bank.free_at(1, 0), 11);
-        assert_eq!(bank.free_at(2, 1), 11);
     }
 }

@@ -14,7 +14,7 @@ pub use crate::demux::{
 pub use crate::error::ModelError;
 pub use crate::fault::{FaultEvent, FaultPlan, PlaneMask};
 pub use crate::ids::{CellId, FlowId, PlaneId, PortId};
-pub use crate::link::{LinkBank, LinkBankPart, LinkSide};
+pub use crate::link::{LinkBank, LinkSide};
 pub use crate::queue::FifoQueue;
 pub use crate::rate::{speedup, Ratio};
 pub use crate::record::{CellRecord, RunLog};

@@ -90,9 +90,8 @@ pub fn earliest(a: Option<Slot>, b: Option<Slot>) -> Option<Slot> {
 }
 
 /// Fold any number of optional next-activity slots into the earliest one —
-/// the min-reduce a sharded fabric performs over its per-shard agendas to
-/// size a joint skip-ahead jump window (every shard must be willing to
-/// sleep through the whole gap).
+/// the joint skip-ahead window of several components run in lockstep
+/// (every component must be willing to sleep through the whole gap).
 #[inline]
 pub fn earliest_of(items: impl IntoIterator<Item = Option<Slot>>) -> Option<Slot> {
     items.into_iter().fold(None, earliest)

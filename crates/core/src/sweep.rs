@@ -152,17 +152,16 @@ impl<P> SweepPlan<P> {
         if leased == 0 {
             work(tx);
         } else {
-            crossbeam::thread::scope(|scope| {
+            std::thread::scope(|scope| {
                 for _ in 0..leased {
                     let tx = tx.clone();
-                    scope.spawn(move |_| {
+                    scope.spawn(move || {
                         work(tx);
                         release_worker();
                     });
                 }
                 work(tx);
-            })
-            .expect("sweep worker panicked");
+            });
         }
         // Merge in declared order; every index is sent exactly once. Event
         // logs are absorbed on this thread in the same order, so they land

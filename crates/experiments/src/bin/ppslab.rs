@@ -9,9 +9,7 @@
 //! ppslab --out results/   # also write every table as CSV into results/
 //! ppslab perf        # quick simulator-throughput summary
 //! ppslab --jobs 4    # worker budget (default: available parallelism; 1 = serial)
-//! ppslab --intra-jobs 4     # shard each run's planes/outputs (default: 1 = serial fabric)
 //! ppslab --stepping dense   # force the dense slot loop (default: skip-ahead)
-//! ppslab --parallel  # deprecated no-op (the default is already parallel; use --jobs)
 //! ppslab --bench-json BENCH_experiments.json   # record wall-clock + slots/sec
 //! ppslab --telemetry counters          # event counters to stderr after the run
 //! ppslab --telemetry full --trace-out trace.json e3   # Perfetto-loadable trace
@@ -71,8 +69,8 @@ fn perf() {
 }
 
 /// Per-experiment benchmark record:
-/// `(id, wall seconds, simulated slots, skipped slots, intra merge nanos)`.
-type BenchEntry = (&'static str, f64, u64, u64, u64);
+/// `(id, wall seconds, simulated slots, skipped slots)`.
+type BenchEntry = (&'static str, f64, u64, u64);
 
 /// Serialize the benchmark records by hand (two levels of objects — not
 /// worth a JSON dependency).
@@ -81,16 +79,12 @@ fn bench_json(jobs: usize, total_seconds: f64, entries: &[BenchEntry]) -> String
     out.push_str("  \"suite\": \"ppslab\",\n");
     out.push_str(&format!("  \"jobs\": {jobs},\n"));
     out.push_str(&format!(
-        "  \"intra_jobs\": {},\n",
-        pps_core::workers::intra_jobs()
-    ));
-    out.push_str(&format!(
         "  \"stepping\": \"{}\",\n",
         pps_core::stepping::process_default().name()
     ));
     out.push_str(&format!("  \"total_wall_seconds\": {total_seconds:.3},\n"));
     out.push_str("  \"experiments\": [\n");
-    for (i, (id, secs, slots, skipped, merge_nanos)) in entries.iter().enumerate() {
+    for (i, (id, secs, slots, skipped)) in entries.iter().enumerate() {
         let rate = if *secs > 0.0 {
             *slots as f64 / secs
         } else {
@@ -98,14 +92,29 @@ fn bench_json(jobs: usize, total_seconds: f64, entries: &[BenchEntry]) -> String
         };
         out.push_str(&format!(
             "    {{\"id\": \"{id}\", \"wall_seconds\": {secs:.3}, \"slots\": {slots}, \
-             \"slots_skipped\": {skipped}, \"slots_per_sec\": {rate:.0}, \
-             \"intra_merge_nanos\": {merge_nanos}}}{}\n",
+             \"slots_skipped\": {skipped}, \"slots_per_sec\": {rate:.0}}}{}\n",
             if i + 1 < entries.len() { "," } else { "" }
         ));
     }
     out.push_str("  ]\n}\n");
     out
 }
+
+/// Flags that take a value; the value is never read as an experiment id.
+const VALUE_FLAGS: [&str; 9] = [
+    "--out",
+    "--jobs",
+    "--bench-json",
+    "--telemetry",
+    "--trace-out",
+    "--stepping",
+    "--workload",
+    "--workload-k",
+    "--workload-rprime",
+];
+
+/// Flags that take no value.
+const SWITCH_FLAGS: [&str; 3] = ["--csv", "--markdown", "--list"];
 
 fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a String> {
     args.iter().position(|a| a == flag).map(|i| {
@@ -147,6 +156,22 @@ fn main() {
         }
         return;
     }
+    // Positional args select experiments. An unknown flag is an error,
+    // not skipped: its value would otherwise be read as an experiment id.
+    let mut wanted: Vec<&String> = Vec::new();
+    let mut rest = args.iter();
+    while let Some(a) = rest.next() {
+        if VALUE_FLAGS.contains(&a.as_str()) {
+            rest.next();
+        } else if a.starts_with("--") {
+            if !SWITCH_FLAGS.contains(&a.as_str()) {
+                eprintln!("error: unknown flag {a}");
+                std::process::exit(2);
+            }
+        } else {
+            wanted.push(a);
+        }
+    }
     let csv = args.iter().any(|a| a == "--csv");
     let markdown = args.iter().any(|a| a == "--markdown");
     let out_dir = flag_value(&args, "--out").cloned();
@@ -181,15 +206,9 @@ fn main() {
     if trace_out.is_some() && telemetry_level != pps_core::telemetry::Level::Full {
         eprintln!("warning: --trace-out needs --telemetry full to have events to write");
     }
-    if args.iter().any(|a| a == "--parallel") {
-        eprintln!(
-            "warning: --parallel is deprecated and has no effect \
-             (parallel is the default); use --jobs N to set the worker budget"
-        );
-    }
-    // Worker budget: explicit --jobs wins; otherwise use every core
-    // (--parallel is the legacy spelling of that default). Tables come out
-    // byte-identical either way — see the sweep executor's contract.
+    // Worker budget: explicit --jobs wins; otherwise use every core.
+    // Tables come out byte-identical either way — see the sweep
+    // executor's contract.
     let jobs: usize = match flag_value(&args, "--jobs") {
         Some(v) => v.parse().unwrap_or_else(|e| {
             eprintln!("error: --jobs: {e}");
@@ -198,21 +217,6 @@ fn main() {
         None => std::thread::available_parallelism().map_or(1, usize::from),
     };
     pps_experiments::sweep::set_jobs(jobs);
-    // Intra-run sharding: split each engine's planes and output
-    // resequencers across the same worker budget. Tables and traces are
-    // byte-identical at any value (DESIGN.md §16); the default of 1 keeps
-    // single-fabric runs serial.
-    if let Some(v) = flag_value(&args, "--intra-jobs") {
-        let n: usize = v.parse().unwrap_or_else(|e| {
-            eprintln!("error: --intra-jobs: {e}");
-            std::process::exit(2);
-        });
-        if n == 0 {
-            eprintln!("error: --intra-jobs must be at least 1");
-            std::process::exit(2);
-        }
-        pps_core::workers::set_intra_jobs(n);
-    }
     // Standalone workload report: materialize the spec and print its
     // tail-delay table across the information classes. Parsed after the
     // stepping/jobs knobs so `--stepping dense --workload ...` exercises
@@ -237,28 +241,6 @@ fn main() {
         }
         return;
     }
-    // Positional args select experiments; skip the values of value-taking
-    // flags.
-    let value_flags = [
-        "--out",
-        "--jobs",
-        "--intra-jobs",
-        "--bench-json",
-        "--telemetry",
-        "--trace-out",
-        "--stepping",
-        "--workload",
-        "--workload-k",
-        "--workload-rprime",
-    ];
-    let wanted: Vec<&String> = args
-        .iter()
-        .enumerate()
-        .filter(|(i, a)| {
-            !a.starts_with("--") && (*i == 0 || !value_flags.contains(&args[*i - 1].as_str()))
-        })
-        .map(|(_, a)| a)
-        .collect();
     let reg = registry();
     if args.iter().any(|a| a == "--list") {
         for (id, _) in &reg {
@@ -299,7 +281,6 @@ fn main() {
             .map(|(id, runner)| {
                 let slots0 = pps_core::perf::slots_simulated();
                 let skipped0 = pps_core::perf::slots_skipped();
-                let merge0 = pps_core::perf::intra_merge_nanos();
                 let start = std::time::Instant::now();
                 let out = if tracing {
                     let (out, log) = pps_core::telemetry::collect(*id, runner);
@@ -314,7 +295,6 @@ fn main() {
                     secs,
                     pps_core::perf::slots_simulated() - slots0,
                     pps_core::perf::slots_skipped() - skipped0,
-                    pps_core::perf::intra_merge_nanos() - merge0,
                 ));
                 out
             })

@@ -233,13 +233,6 @@ impl<D: Demultiplexor> BufferlessPps<D> {
         self.stepping = mode;
     }
 
-    /// Override the intra-run shard count (the default is the process-wide
-    /// [`pps_core::workers::set_intra_jobs`] at construction time). Any
-    /// value produces byte-identical runs; see DESIGN.md §16.
-    pub fn set_intra_jobs(&mut self, n: usize) {
-        self.fabric.set_intra_shards(n);
-    }
-
     /// The demultiplexor (e.g. to read algorithm-specific statistics).
     pub fn demux(&self) -> &D {
         &self.demux
@@ -428,12 +421,6 @@ impl<D: BufferedDemultiplexor> BufferedPps<D> {
     /// Override the slot-stepping mode; see [`BufferlessPps::set_stepping`].
     pub fn set_stepping(&mut self, mode: Stepping) {
         self.stepping = mode;
-    }
-
-    /// Override the intra-run shard count; see
-    /// [`BufferlessPps::set_intra_jobs`].
-    pub fn set_intra_jobs(&mut self, n: usize) {
-        self.fabric.set_intra_shards(n);
     }
 
     /// The demultiplexor.

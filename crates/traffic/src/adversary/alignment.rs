@@ -211,7 +211,7 @@ impl DispatchLog {
         let threads = leases.len() + 1;
         let chunk = self.k.div_ceil(threads);
         let mut scores = vec![(0usize, std::cmp::Reverse(0usize)); self.k];
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             let mut rest = scores.as_mut_slice();
             let mut lo = 0usize;
             while rest.len() > chunk {
@@ -219,7 +219,7 @@ impl DispatchLog {
                 rest = tail;
                 let base = lo;
                 lo += chunk;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     for (i, slot) in head.iter_mut().enumerate() {
                         *slot = self.score(base + i);
                     }
@@ -228,8 +228,7 @@ impl DispatchLog {
             for (i, slot) in rest.iter_mut().enumerate() {
                 *slot = self.score(lo + i);
             }
-        })
-        .expect("alignment scoring worker panicked");
+        });
         drop(leases);
         scores
     }

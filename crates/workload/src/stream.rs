@@ -13,7 +13,7 @@
 //! stream is walked densely (every slot) or by jumping between
 //! `next_activity` slots — pinned by the property suite — and the trace
 //! feeds both the PPS under test and the shadow OQ switch, so sweeps stay
-//! byte-identical at any `--jobs`/`--intra-jobs`.
+//! byte-identical at any `--jobs`.
 
 use pps_core::prelude::*;
 use pps_core::rate::Ratio;
